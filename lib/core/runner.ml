@@ -38,21 +38,27 @@ let static_counts seen (launch : Gsim.Launch.t) =
     Dataflow.Classify.count_global launch.Gsim.Launch.classes
   end
 
+(* The launch loop of every mode: hand each launch of [run], with its
+   index, to [f] until the app runs out of launches or [f] returns
+   false.  Returns the number of launches handed out. *)
+let iter_launches (run : Workloads.App.run) f =
+  let rec go i =
+    match run.Workloads.App.next_launch () with
+    | None -> i
+    | Some launch -> if f i launch then go (i + 1) else i + 1
+  in
+  go 0
+
 let run_func ?(cfg = Gsim.Config.default) ?(max_warp_insts = 0)
     ?(check = true) (app : Workloads.App.t) scale =
   let run = app.Workloads.App.make scale in
   let fs = Gsim.Funcsim.create cfg in
   let seen = Hashtbl.create 8 in
-  let launches = ref 0 in
   let ctas = ref 0 in
   let threads_per_cta = ref 0 in
   let d = ref 0 and n = ref 0 in
-  let continue_ = ref true in
-  while !continue_ do
-    match run.Workloads.App.next_launch () with
-    | None -> continue_ := false
-    | Some launch ->
-        incr launches;
+  let launches =
+    iter_launches run (fun _ launch ->
         ctas := !ctas + Gsim.Launch.n_ctas launch;
         if !threads_per_cta = 0 then
           threads_per_cta := Gsim.Launch.threads_per_cta launch;
@@ -60,12 +66,12 @@ let run_func ?(cfg = Gsim.Config.default) ?(max_warp_insts = 0)
         d := !d + sd;
         n := !n + sn;
         Gsim.Funcsim.run_into fs ~max_warp_insts launch;
-        if fs.Gsim.Funcsim.capped then continue_ := false
-  done;
+        not fs.Gsim.Funcsim.capped)
+  in
   {
     fr_app = app;
     fr_fs = fs;
-    fr_launches = !launches;
+    fr_launches = launches;
     fr_ctas = !ctas;
     fr_threads_per_cta = !threads_per_cta;
     fr_static_d = !d;
@@ -81,25 +87,22 @@ let run_func ?(cfg = Gsim.Config.default) ?(max_warp_insts = 0)
    first launch carrying substantial global-load traffic (>= 25% of the
    busiest launch); the timing pass fast-forwards to it functionally —
    the memory image is shared, so simulation can resume exactly there —
-   and cycle-simulates from that point. *)
+   and cycle-simulates from that point.  Both the pre-pass and the
+   fast-forward take Funcsim's lean paths: the pre-pass needs only each
+   launch's coalesced request counts, the fast-forward only its
+   effect on memory. *)
 let warmup_launches ?(cfg = Gsim.Config.default) (app : Workloads.App.t) scale
     =
-  let run = app.Workloads.App.make scale in
-  let fs = Gsim.Funcsim.create cfg in
+  let warp_size = cfg.Gsim.Config.warp_size in
+  let line_size = cfg.Gsim.Config.line_size in
   let per_launch = ref [] in
-  let continue_ = ref true in
-  while !continue_ do
-    match run.Workloads.App.next_launch () with
-    | None -> continue_ := false
-    | Some launch ->
-        let d0 = fs.Gsim.Funcsim.gld_requests.(0) in
-        let n0 = fs.Gsim.Funcsim.gld_requests.(1) in
-        Gsim.Funcsim.run_into fs launch;
-        per_launch :=
-          ( fs.Gsim.Funcsim.gld_requests.(0) - d0,
-            fs.Gsim.Funcsim.gld_requests.(1) - n0 )
-          :: !per_launch
-  done;
+  ignore
+    (iter_launches (app.Workloads.App.make scale) (fun _ launch ->
+         per_launch :=
+           Gsim.Funcsim.count_requests ~warp_size ~line_size launch
+           :: !per_launch;
+         true)
+      : int);
   (* traffic metric: non-deterministic requests when the app has any
      (the bursty side the paper characterizes), else all requests *)
   let deltas = Array.of_list (List.rev !per_launch) in
@@ -122,15 +125,13 @@ let run_timing ?(cfg = Gsim.Config.default) ?(warmup = true) ?trace
   let machine = Gsim.Gpu.create_machine ~cfg ?trace () in
   let stats = machine.Gsim.Gpu.stats in
   let trace = machine.Gsim.Gpu.trace in
-  let ff = Gsim.Funcsim.create cfg in
-  let launches = ref 0 in
-  let continue_ = ref true in
-  while !continue_ do
-    match run.Workloads.App.next_launch () with
-    | None -> continue_ := false
-    | Some launch ->
-        if !launches < skip then Gsim.Funcsim.run_into ff launch
-        else begin
+  let launches =
+    iter_launches run (fun i launch ->
+        if i < skip then begin
+          Gsim.Funcsim.execute ~warp_size:cfg.Gsim.Config.warp_size launch;
+          true
+        end
+        else
           (* --kernel filtering: mute the shared trace for launches of
              other kernels instead of rebuilding the machine, so cache
              state still flows across kernel boundaries *)
@@ -139,17 +140,12 @@ let run_timing ?(cfg = Gsim.Config.default) ?(warmup = true) ?trace
             | Some k -> k <> launch.Gsim.Launch.kernel.Ptx.Kernel.kname
             | None -> false
           in
-          let ran =
-            if muted then
-              Gsim.Trace.with_muted trace (fun () ->
-                  Gsim.Gpu.run_launch machine ~fast_forward launch)
-            else Gsim.Gpu.run_launch machine ~fast_forward launch
-          in
-          if not ran then continue_ := false
-        end;
-        incr launches
-  done;
-  { tr_app = app; tr_stats = stats; tr_launches = !launches; tr_cfg = cfg }
+          if muted then
+            Gsim.Trace.with_muted trace (fun () ->
+                Gsim.Gpu.run_launch machine ~fast_forward launch)
+          else Gsim.Gpu.run_launch machine ~fast_forward launch)
+  in
+  { tr_app = app; tr_stats = stats; tr_launches = launches; tr_cfg = cfg }
 
 (* Result-returning wrappers: every failure mode a malformed kernel or
    a simulator bug can produce — static verification, unbound

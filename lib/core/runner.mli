@@ -90,8 +90,17 @@ val run :
 
 val warmup_launches :
   ?cfg:Gsim.Config.t -> Workloads.App.t -> Workloads.App.scale -> int
-(** Index of the first launch carrying substantial global-load traffic
-    (>= 25% of the busiest launch's), found by a functional pre-pass.
-    Iterative apps (bfs, sssp, ...) spend their first launches on tiny
-    frontiers; measuring only those would mischaracterize the steady
-    state the paper reports. *)
+(** Index of the first launch carrying substantial global-load traffic,
+    found by a functional pre-pass over every launch of a fresh run of
+    the app.  Iterative apps (bfs, sssp, ...) spend their first
+    launches on tiny frontiers; measuring only those would
+    mischaracterize the steady state the paper reports.
+
+    The pre-pass counts each launch's coalesced global load and atomic
+    requests by load class ({!Gsim.Funcsim.count_requests}).  A
+    launch's traffic is its non-deterministic count when any launch of
+    the app has non-deterministic requests, else its total; the result
+    is the first launch whose traffic is >= 25% of the busiest
+    launch's (0 when none is).  It depends only on the app, the scale
+    and [cfg]'s [warp_size] and [line_size] — not on cache geometry,
+    the CTA scheduler or any timing knob. *)

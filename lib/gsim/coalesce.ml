@@ -22,8 +22,33 @@ let lines ~line_size ~mask ~addrs =
   done;
   List.rev !out
 
+(* Number of distinct lines touched, in the same lane walk as [lines]
+   but with the distinct lines kept in the caller's [scratch] prefix
+   instead of a list, so counting allocates nothing. *)
+let count_into ~scratch ~line_size ~mask ~addrs =
+  let n = ref 0 in
+  let m = ref mask in
+  let lane = ref 0 in
+  while !m <> 0 do
+    if !m land 1 <> 0 then begin
+      let la = addrs.(!lane) / line_size in
+      let j = ref 0 in
+      while !j < !n && scratch.(!j) <> la do
+        incr j
+      done;
+      if !j = !n then begin
+        scratch.(!n) <- la;
+        incr n
+      end
+    end;
+    m := !m lsr 1;
+    incr lane
+  done;
+  !n
+
 let count ~line_size ~mask ~addrs =
-  List.length (lines ~line_size ~mask ~addrs)
+  count_into ~scratch:(Array.make (Array.length addrs) 0) ~line_size ~mask
+    ~addrs
 
 (* Ascending-address ordering of a coalesced line list — the order the
    IAR reorder unit buffers entries in, so same-line requests from

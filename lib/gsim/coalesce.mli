@@ -8,6 +8,12 @@ val lines : line_size:int -> mask:int -> addrs:int array -> int list
     order. *)
 
 val count : line_size:int -> mask:int -> addrs:int array -> int
+(** [List.length (lines ~line_size ~mask ~addrs)]. *)
+
+val count_into :
+  scratch:int array -> line_size:int -> mask:int -> addrs:int array -> int
+(** {!count} without allocating: [scratch] (at least as long as [addrs])
+    is overwritten as workspace. *)
 
 val sort_lines : int list -> int list
 (** Ascending-address ordering of a coalesced line list — the order

@@ -10,7 +10,11 @@
    CTAs run to completion one at a time (warps round-robin between
    barriers), with CTA -> SM assignment following the configured CTA
    scheduler so the emulated per-SM L1 counters see the same working
-   sets as the timing model. *)
+   sets as the timing model.
+
+   The same CTA-stepping loop also drives two lean paths that record
+   nothing but what the timing run needs: the per-launch request count
+   of the warmup pre-pass and the fast-forward past skipped launches. *)
 
 type cls = Dataflow.Classify.load_class
 
@@ -97,11 +101,21 @@ let record_block t ~cta la =
   | None ->
       Hashtbl.add t.blocks la { bl_count = 1; bl_ctas = [ cta ]; bl_nctas = 1 }
 
-let record_mem t ~launch ~sm ~cta (m : Warp.mem_op) =
+(* CTA -> SM assignment under the configured scheduler (matches the
+   timing simulator's initial placement). *)
+let sm_of_cta cfg cta =
+  match cfg.Config.cta_sched with
+  | Config.Round_robin -> cta mod cfg.Config.n_sms
+  | Config.Clustered k ->
+      let k = max 1 k in
+      cta / k mod cfg.Config.n_sms
+
+let record_mem t ~launch ~cta (m : Warp.mem_op) =
   let cfg = t.cfg in
   match (m.Warp.m_space, m.Warp.m_kind) with
   | Ptx.Types.Global, Warp.Load | Ptx.Types.Global, Warp.Atomic ->
       if m.Warp.m_kind = Warp.Atomic then t.atom_warps <- t.atom_warps + 1;
+      let sm = sm_of_cta cfg cta in
       let cls = Launch.load_class launch m.Warp.m_pc in
       let i = cls_index cls in
       let lines =
@@ -144,42 +158,47 @@ let record_mem t ~launch ~sm ~cta (m : Warp.mem_op) =
   | Ptx.Types.Shared, Warp.Load -> t.shared_load_warps <- t.shared_load_warps + 1
   | _, _ -> ()
 
-(* CTA -> SM assignment under the configured scheduler (matches the
-   timing simulator's initial placement). *)
-let sm_of_cta cfg cta =
-  match cfg.Config.cta_sched with
-  | Config.Round_robin -> cta mod cfg.Config.n_sms
-  | Config.Clustered k ->
-      let k = max 1 k in
-      cta / k mod cfg.Config.n_sms
+(* The one CTA-stepping loop every functional path runs.  CTAs run to
+   completion one at a time in linear order; within a CTA, warps
+   advance round-robin, pausing at barriers until the whole CTA
+   arrives.  [on_mem cta m] sees each memory operation as it executes
+   and [on_cta ~warp_insts ~thread_insts] each finished CTA's totals;
+   the paths differ only in these callbacks, so the full-record pass,
+   the warmup request count and the fast-forward past skipped launches
+   execute the same instruction stream against the same memory image.
 
-(* Run one CTA to completion: warps advance round-robin, pausing at
-   barriers until the whole CTA arrives. *)
-let run_cta t ~launch ~max_warp_insts cta_lin =
-  let cfg = t.cfg in
-  let sm = sm_of_cta cfg cta_lin in
-  let cta = Cta.create launch ~warp_size:cfg.Config.warp_size ~cta_lin in
-  let n = Cta.n_warps cta in
-  let at_barrier = Array.make n false in
-  let local_insts = ref 0 in
-  let budget_left () =
-    max_warp_insts = 0 || t.warp_insts + !local_insts < max_warp_insts
-  in
-  let progress = ref true in
-  while (not (Cta.all_finished cta)) && !progress && budget_left () do
-    progress := false;
-    (* release a completed barrier *)
-    let waiting = ref 0 and alive = ref 0 in
-    Array.iteri
-      (fun i w ->
-        if not (Warp.finished w) then begin
+   [max_warp_insts] (0 = uncapped) bounds the warp instructions
+   executed, counting the [insts] already executed by earlier launches.
+   Returns [true] iff the cap stopped the launch. *)
+let exec_launch ~warp_size ?(max_warp_insts = 0) ?(insts = 0) ~on_mem
+    ~on_cta (launch : Launch.t) =
+  let n_ctas = Launch.n_ctas launch in
+  let insts = ref insts in
+  let capped = ref false in
+  let cta_lin = ref 0 in
+  while !cta_lin < n_ctas && not !capped do
+    let cta = Cta.create launch ~warp_size ~cta_lin:!cta_lin in
+    let warps = cta.Cta.warps in
+    let n = Array.length warps in
+    let at_barrier = Array.make n false in
+    let local_insts = ref 0 in
+    let budget_left () =
+      max_warp_insts = 0 || !insts + !local_insts < max_warp_insts
+    in
+    let progress = ref true in
+    while (not (Cta.all_finished cta)) && !progress && budget_left () do
+      progress := false;
+      (* release a completed barrier *)
+      let waiting = ref 0 and alive = ref 0 in
+      for i = 0 to n - 1 do
+        if not (Warp.finished warps.(i)) then begin
           incr alive;
           if at_barrier.(i) then incr waiting
-        end)
-      cta.Cta.warps;
-    if !alive > 0 && !waiting = !alive then Array.fill at_barrier 0 n false;
-    Array.iteri
-      (fun i w ->
+        end
+      done;
+      if !alive > 0 && !waiting = !alive then Array.fill at_barrier 0 n false;
+      for i = 0 to n - 1 do
+        let w = warps.(i) in
         if (not (Warp.finished w)) && (not at_barrier.(i)) && budget_left ()
         then begin
           progress := true;
@@ -188,39 +207,77 @@ let run_cta t ~launch ~max_warp_insts cta_lin =
             incr local_insts;
             match Warp.step w with
             | Warp.S_alu _ -> ()
-            | Warp.S_mem m -> record_mem t ~launch ~sm ~cta:cta_lin m
+            | Warp.S_mem m -> on_mem !cta_lin m
             | Warp.S_barrier ->
                 at_barrier.(i) <- true;
                 stop := true
             | Warp.S_exit_partial -> ()
             | Warp.S_exit_warp -> stop := true
           done
-        end)
-      cta.Cta.warps
+        end
+      done
+    done;
+    let wi = ref 0 and ti = ref 0 in
+    Array.iter
+      (fun w ->
+        wi := !wi + w.Warp.warp_insts;
+        ti := !ti + w.Warp.thread_insts)
+      warps;
+    insts := !insts + !wi;
+    on_cta ~warp_insts:!wi ~thread_insts:!ti;
+    if not (budget_left ()) then capped := true;
+    incr cta_lin
   done;
-  let wi = Array.fold_left (fun a w -> a + w.Warp.warp_insts) 0 cta.Cta.warps in
-  let ti =
-    Array.fold_left (fun a w -> a + w.Warp.thread_insts) 0 cta.Cta.warps
-  in
-  t.warp_insts <- t.warp_insts + wi;
-  t.thread_insts <- t.thread_insts + ti;
-  t.ctas_run <- t.ctas_run + 1;
-  if not (budget_left ()) then t.capped <- true
+  !capped
 
 (* Run one launch, accumulating into [t] (multi-kernel applications
    share one stats object across their launches). *)
 let run_into t ?(max_warp_insts = 0) (launch : Launch.t) =
-  let n = Launch.n_ctas launch in
-  let i = ref 0 in
-  while !i < n && not t.capped do
-    run_cta t ~launch ~max_warp_insts !i;
-    incr i
-  done
+  if not t.capped then
+    t.capped <-
+      exec_launch ~warp_size:t.cfg.Config.warp_size ~max_warp_insts
+        ~insts:t.warp_insts
+        ~on_mem:(fun cta m -> record_mem t ~launch ~cta m)
+        ~on_cta:(fun ~warp_insts ~thread_insts ->
+          t.warp_insts <- t.warp_insts + warp_insts;
+          t.thread_insts <- t.thread_insts + thread_insts;
+          t.ctas_run <- t.ctas_run + 1)
+        launch
 
 let run ?(cfg = Config.default) ?(max_warp_insts = 0) (launch : Launch.t) =
   let t = create cfg in
   run_into t ~max_warp_insts launch;
   t
+
+(* ------------- lean paths ------------- *)
+
+let no_cta ~warp_insts:_ ~thread_insts:_ = ()
+
+(* Coalesced global load/atomic requests of one launch, by class, with
+   nothing else recorded: exactly the [gld_requests] a full-record
+   [run_into] of the launch adds. *)
+let count_requests ~warp_size ~line_size (launch : Launch.t) =
+  let d = ref 0 and n = ref 0 in
+  let scratch = Array.make warp_size 0 in
+  let on_mem _ (m : Warp.mem_op) =
+    match (m.Warp.m_space, m.Warp.m_kind) with
+    | Ptx.Types.Global, (Warp.Load | Warp.Atomic) ->
+        let k =
+          Coalesce.count_into ~scratch ~line_size ~mask:m.Warp.m_mask
+            ~addrs:m.Warp.m_addrs
+        in
+        (match Launch.load_class launch m.Warp.m_pc with
+        | Dataflow.Classify.Deterministic -> d := !d + k
+        | Dataflow.Classify.Nondeterministic -> n := !n + k)
+    | _ -> ()
+  in
+  ignore (exec_launch ~warp_size ~on_mem ~on_cta:no_cta launch : bool);
+  (!d, !n)
+
+let execute ~warp_size (launch : Launch.t) =
+  ignore
+    (exec_launch ~warp_size ~on_mem:(fun _ _ -> ()) ~on_cta:no_cta launch
+      : bool)
 
 (* ------------- derived metrics ------------- *)
 

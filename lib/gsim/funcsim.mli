@@ -48,6 +48,21 @@ val run_into : t -> ?max_warp_insts:int -> Launch.t -> unit
 
 val run : ?cfg:Config.t -> ?max_warp_insts:int -> Launch.t -> t
 
+(** {1 Lean paths}
+
+    The loop behind {!run_into} — CTAs in linear order, warps
+    round-robin between barriers — with no statistics object: no
+    caches, no block table, no per-PC tables.  Memory effects are
+    identical to {!run_into}'s. *)
+
+val count_requests : warp_size:int -> line_size:int -> Launch.t -> int * int
+(** Execute one launch and return its coalesced global load/atomic
+    requests by class, [(deterministic, non-deterministic)] — the
+    [gld_requests] deltas a {!run_into} of the launch would add. *)
+
+val execute : warp_size:int -> Launch.t -> unit
+(** Execute one launch for its effect on memory alone. *)
+
 (** {1 Derived metrics} *)
 
 val total_gld_warps : t -> int

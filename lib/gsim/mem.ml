@@ -62,6 +62,23 @@ let store t (ty : Ptx.Types.dtype) addr v =
         (Int32.bits_of_float (Int64.float_of_bits v))
   | F64 -> Bytes.set_int64_le t.data addr v
 
+(* Byte-for-byte equality of contents.  Bytes past a watermark are
+   logically zero, so both buffers are first zeroed up to the higher
+   watermark (which leaves their contents unchanged). *)
+let equal a b =
+  a.size = b.size
+  &&
+  let z = max a.zeroed b.zeroed in
+  if a.zeroed < z then extend_zero a z;
+  if b.zeroed < z then extend_zero b z;
+  let rec go i =
+    if i + 8 <= z then
+      Bytes.get_int64_le a.data i = Bytes.get_int64_le b.data i && go (i + 8)
+    else if i < z then Bytes.get a.data i = Bytes.get b.data i && go (i + 1)
+    else true
+  in
+  go 0
+
 (* Convenience host-side accessors for initializing datasets and
    checking results. *)
 let get_u32 t addr = Int64.to_int (load t Ptx.Types.U32 addr)

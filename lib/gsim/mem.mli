@@ -18,6 +18,9 @@ val load : t -> Ptx.Types.dtype -> int -> int64
 val store : t -> Ptx.Types.dtype -> int -> int64 -> unit
 (** Typed store. @raise Invalid_argument on out-of-bounds access. *)
 
+val equal : t -> t -> bool
+(** Same size and the same bytes at every address. *)
+
 (** {1 Host-side convenience accessors} *)
 
 val get_u32 : t -> int -> int

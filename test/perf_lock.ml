@@ -53,25 +53,63 @@ let digest_app (app : Workloads.App.t) =
         dg_trace = Digest.to_hex (Digest.string (Buffer.contents buf));
       }
 
-(* Parse a golden file: one "<app> <stats> <profile> <trace>" line per
-   app; '#' comments and blank lines ignored. *)
-let read_golden path =
+(* Warmup lock: the same pinned configuration with the warmup pre-pass
+   on, so the pre-pass's launch choice and the fast-forward into it are
+   locked too.  [wd_skip] is the launch index cycle simulation starts
+   at ({!Critload.Runner.warmup_launches}); [wd_stats] is the MD5 of the
+   resulting Stats.t JSON document. *)
+type warmup_digest = { wd_skip : int; wd_stats : string }
+
+let warmup_digest_app (app : Workloads.App.t) =
+  let scale = Workloads.App.Small in
+  let skip = R.warmup_launches ~cfg:cap_cfg app scale in
+  match R.run ~cfg:cap_cfg ~scale ~warmup:true app with
+  | Error e ->
+      failwith
+        (Printf.sprintf "perf_lock: %s (warmup) failed: %s"
+           app.Workloads.App.name
+           (Gsim.Sim_error.to_string e))
+  | Ok rep ->
+      let stats_doc =
+        Json.to_string (Gsim.Stats_io.stats_to_json (R.Report.stats_exn rep))
+      in
+      { wd_skip = skip; wd_stats = Digest.to_hex (Digest.string stats_doc) }
+
+(* Parse a golden file of space-separated fields, one app per line;
+   '#' comments and blank lines ignored.  [row] maps a line's fields
+   to its entry, or [None] when the line is malformed. *)
+let read_table path row =
   let ic = open_in path in
   let rec go acc =
     match input_line ic with
     | exception End_of_file ->
         close_in ic;
         List.rev acc
-    | line ->
+    | line -> (
         let line = String.trim line in
         if line = "" || line.[0] = '#' then go acc
         else
-          match String.split_on_char ' ' line with
-          | [ app; s; p; t ] ->
-              go ((app, { dg_stats = s; dg_profile = p; dg_trace = t }) :: acc)
-          | _ ->
+          match row (String.split_on_char ' ' line) with
+          | Some entry -> go (entry :: acc)
+          | None ->
               close_in ic;
               failwith
-                (Printf.sprintf "perf_lock: malformed golden line: %S" line)
+                (Printf.sprintf "perf_lock: malformed golden line: %S" line))
   in
   go []
+
+(* "<app> <stats> <profile> <trace>" lines. *)
+let read_golden path =
+  read_table path (function
+    | [ app; s; p; t ] ->
+        Some (app, { dg_stats = s; dg_profile = p; dg_trace = t })
+    | _ -> None)
+
+(* "<app> <skip> <stats>" lines. *)
+let read_warmup_golden path =
+  read_table path (function
+    | [ app; skip; s ] -> (
+        match int_of_string_opt skip with
+        | Some k -> Some (app, { wd_skip = k; wd_stats = s })
+        | None -> None)
+    | _ -> None)

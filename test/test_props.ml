@@ -47,6 +47,17 @@ let prop_count_at_most_active =
       let active = Gsim.Warp.popcount (mask land 0xFFFFFFFF) in
       if active = 0 then n = 0 else n >= 1 && n <= active)
 
+(* the allocation-free count agrees with the request list, even when
+   its scratch holds stale lines from an earlier call *)
+let prop_count_into_matches_lines =
+  let scratch = Array.make 32 (-1) in
+  QCheck.Test.make ~count:500
+    ~name:"coalesce: count_into = length of the request list"
+    gen_mask_addrs
+    (fun (mask, addrs) ->
+      Gsim.Coalesce.count_into ~scratch ~line_size ~mask ~addrs
+      = List.length (Gsim.Coalesce.lines ~line_size ~mask ~addrs))
+
 (* a fully-strided warp (lane i reads base + i*elem) generates the
    minimum number of requests: exactly the lines of the touched span *)
 let prop_strided_minimal =
@@ -429,6 +440,7 @@ let tests =
   List.map QCheck_alcotest.to_alcotest
     [ prop_cover_each_sector_once;
       prop_count_at_most_active;
+      prop_count_into_matches_lines;
       prop_strided_minimal;
       prop_split_subwarp_coverage;
       prop_builder_roundtrip;
