@@ -397,6 +397,27 @@ let write_all fd s =
     off := !off + Unix.write fd b !off (len - !off)
   done
 
+(* The signals an interrupted sweep turns into [Sys.Break]. *)
+let break_signals = [ Sys.sigint; Sys.sigterm ]
+
+(* Run [f] with [break_signals] held back, so a [Sys.Break] cannot land
+   between forking a worker and recording it in the pool, or between
+   forgetting a finished worker and reaping it: either would leave a
+   process the interrupt path never kills or waits for.  A signal that
+   arrives meanwhile is delivered when the mask is restored (and its
+   [Sys.Break] raised from there, which is why this is not
+   [Fun.protect]: that would wrap it in [Finally_raised]). *)
+let without_break f =
+  let old = Unix.sigprocmask Unix.SIG_BLOCK break_signals in
+  let restore () = ignore (Unix.sigprocmask Unix.SIG_SETMASK old : int list) in
+  match f () with
+  | v ->
+      restore ();
+      v
+  | exception e ->
+      restore ();
+      raise e
+
 (* The child must not replay the parent's buffered output nor run its
    at_exit handlers, hence the flushes before fork and _exit after. *)
 let spawn ~chaos job_arr index attempt =
@@ -405,6 +426,8 @@ let spawn ~chaos job_arr index attempt =
   let rd, wr = Unix.pipe () in
   match Unix.fork () with
   | 0 ->
+      (* forked inside [without_break]: the worker takes signals again *)
+      ignore (Unix.sigprocmask Unix.SIG_UNBLOCK break_signals : int list);
       Unix.close rd;
       (try
          match
@@ -523,14 +546,15 @@ let run ?(workers = 1) ?(timeout = 600.)
         end
   in
   let reap fd w ~crashed reason =
-    (try Unix.close fd with Unix.Unix_error _ -> ());
-    Hashtbl.remove running fd;
-    let crashed =
-      match snd (Unix.waitpid [] w.w_pid) with
-      | Unix.WEXITED 0 -> crashed
-      | _ -> true
-    in
-    settle w ~crashed reason
+    without_break (fun () ->
+        (try Unix.close fd with Unix.Unix_error _ -> ());
+        Hashtbl.remove running fd;
+        let crashed =
+          match snd (Unix.waitpid [] w.w_pid) with
+          | Unix.WEXITED 0 -> crashed
+          | _ -> true
+        in
+        settle w ~crashed reason)
   in
   (* Kill every in-flight worker without settling its job, so the
      checkpoint keeps only genuinely finished work and a resume re-runs
@@ -556,17 +580,18 @@ let run ?(workers = 1) ?(timeout = 600.)
          Hashtbl.length running < workers && not (Queue.is_empty pending)
        do
          let index, attempt = Queue.pop pending in
-         let rd, pid = spawn ~chaos job_arr index attempt in
-         let now = Unix.gettimeofday () in
-         Hashtbl.replace running rd
-           {
-             w_pid = pid;
-             w_index = index;
-             w_attempt = attempt;
-             w_buf = Buffer.create 4096;
-             w_start = now;
-             w_deadline = now +. timeout;
-           };
+         without_break (fun () ->
+             let rd, pid = spawn ~chaos job_arr index attempt in
+             let now = Unix.gettimeofday () in
+             Hashtbl.replace running rd
+               {
+                 w_pid = pid;
+                 w_index = index;
+                 w_attempt = attempt;
+                 w_buf = Buffer.create 4096;
+                 w_start = now;
+                 w_deadline = now +. timeout;
+               });
          on_event (Started (job_arr.(index), attempt))
        done;
        let fds = Hashtbl.fold (fun fd _ acc -> fd :: acc) running [] in

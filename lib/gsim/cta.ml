@@ -5,8 +5,6 @@
    thread-local addresses the kernel computes; const and tex spaces
    read the global image (their caches are not modelled). *)
 
-open Ptx.Types
-
 type t = {
   cta_lin : int;
   warps : Warp.t array;
@@ -18,24 +16,7 @@ let shared_size kernel =
   max 256 kernel.Ptx.Kernel.smem_bytes
 
 let mem_iface (launch : Launch.t) shared local =
-  let pick = function
-    | Global | Const | Tex | Param -> launch.Launch.global
-    | Shared -> shared
-    | Local -> local
-  in
-  {
-    Warp.read = (fun sp ty addr -> Mem.load (pick sp) ty addr);
-    write = (fun sp ty addr v -> Mem.store (pick sp) ty addr v);
-    atomic =
-      (fun op ty addr v ->
-        let m = launch.Launch.global in
-        let old = Mem.load m ty addr in
-        Mem.store m ty addr (Exec.exec_atom op old v);
-        old);
-    m_global = launch.Launch.global;
-    m_shared = shared;
-    m_local = local;
-  }
+  { Warp.m_global = launch.Launch.global; m_shared = shared; m_local = local }
 
 let create (launch : Launch.t) ~warp_size ~cta_lin =
   let kernel = launch.Launch.kernel in
@@ -63,7 +44,7 @@ let create (launch : Launch.t) ~warp_size ~cta_lin =
           Array.init warp_size (fun lane ->
               let linear = base + lane in
               {
-                Exec.regs = Array.make kernel.Ptx.Kernel.nregs 0L;
+                Exec.regs = Exec.make_regs kernel.Ptx.Kernel.nregs;
                 preds = Array.make kernel.Ptx.Kernel.npregs false;
                 tid =
                   (if lane < lanes then Launch.thread_coords launch linear

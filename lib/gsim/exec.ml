@@ -7,12 +7,24 @@
 
 open Ptx.Types
 
+(* [regs] holds register [r] unboxed in the 8 bytes at [r lsl 3], so a
+   register write stores the value in place instead of allocating an
+   [Int64] box.  The slot primitives skip the bounds check: every kernel
+   a warp runs has passed [Launch.create]'s verifier, which rejects any
+   register index outside [0, nregs). *)
 type thread = {
-  regs : int64 array;
+  regs : Bytes.t;
   preds : bool array;
   tid : int * int * int;
   lane : int;
 }
+
+external slot_get : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external slot_set : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let make_regs n = Bytes.make (8 * n) '\000'
+let[@inline] reg th r = slot_get th.regs (r lsl 3)
+let[@inline] set_reg th r v = slot_set th.regs (r lsl 3) v
 
 (* Per-warp execution environment (identical for all lanes). *)
 type env = {
@@ -24,25 +36,27 @@ type env = {
 
 let dim_of (x, y, z) = function X -> x | Y -> y | Z -> z
 
-let eval_sreg env th = function
-  | Tid d -> Int64.of_int (dim_of th.tid d)
-  | Ntid d -> Int64.of_int (dim_of env.ntid d)
-  | Ctaid d -> Int64.of_int (dim_of env.ctaid d)
-  | Nctaid d -> Int64.of_int (dim_of env.nctaid d)
-  | Laneid -> Int64.of_int th.lane
-  | Warpid -> Int64.of_int env.warp_in_cta
+let sreg_value env th = function
+  | Tid d -> dim_of th.tid d
+  | Ntid d -> dim_of env.ntid d
+  | Ctaid d -> dim_of env.ctaid d
+  | Nctaid d -> dim_of env.nctaid d
+  | Laneid -> th.lane
+  | Warpid -> env.warp_in_cta
 
-let eval_operand env th = function
-  | Reg r -> th.regs.(r)
+(* The per-lane helpers below are [@inline]: called out of line, each
+   call would box its [int64]/[float] arguments and result. *)
+let[@inline] eval_operand env th = function
+  | Reg r -> reg th r
   | Imm i -> i
   | Fimm f -> Int64.bits_of_float f
-  | Sreg s -> eval_sreg env th s
+  | Sreg s -> Int64.of_int (sreg_value env th s)
 
-let eval_addr env th (a : addr) =
+let[@inline] eval_addr env th (a : addr) =
   Int64.to_int (eval_operand env th a.abase) + a.aoffset
 
 (* High 64 bits of the signed 64x64 product, via 32-bit halves. *)
-let mulhi64 a b =
+let[@inline] mulhi64 a b =
   let mask = 0xFFFFFFFFL in
   let al = Int64.logand a mask and ah = Int64.shift_right a 32 in
   let bl = Int64.logand b mask and bh = Int64.shift_right b 32 in
@@ -53,7 +67,7 @@ let mulhi64 a b =
   let mid = Int64.add (Int64.add lh hl) (Int64.shift_right_logical ll 32) in
   Int64.add hh (Int64.shift_right mid 32)
 
-let exec_iop op a b =
+let[@inline] exec_iop op a b =
   match op with
   | Add -> Int64.add a b
   | Sub -> Int64.sub a b
@@ -71,13 +85,13 @@ let exec_iop op a b =
 
 (* Operands of float instructions: register / float-immediate bits are
    IEEE patterns; integer immediates are taken by value. *)
-let as_float env th = function
+let[@inline] as_float env th = function
   | Imm i -> Int64.to_float i
   | op -> Int64.float_of_bits (eval_operand env th op)
 
-let round_f32 f = Int32.float_of_bits (Int32.bits_of_float f)
+let[@inline] round_f32 f = Int32.float_of_bits (Int32.bits_of_float f)
 
-let exec_fop op ty a b =
+let[@inline] exec_fop op ty a b =
   let r =
     match op with
     | Fadd -> a +. b
@@ -89,7 +103,7 @@ let exec_fop op ty a b =
   in
   if ty = F32 then round_f32 r else r
 
-let exec_funary op ty a =
+let[@inline] exec_funary op ty a =
   let r =
     match op with
     | Sqrt -> Float.sqrt a
@@ -102,15 +116,16 @@ let exec_funary op ty a =
   in
   if ty = F32 then round_f32 r else r
 
-let exec_cvt ~dst_ty ~src_ty v =
-  let fval () = Int64.float_of_bits v in
+let[@inline] exec_cvt ~dst_ty ~src_ty v =
   match (dtype_is_float dst_ty, dtype_is_float src_ty) with
   | true, true ->
-      if dst_ty = F32 then Int64.bits_of_float (round_f32 (fval ())) else v
+      if dst_ty = F32 then
+        Int64.bits_of_float (round_f32 (Int64.float_of_bits v))
+      else v
   | true, false ->
       let f = Int64.to_float v in
       Int64.bits_of_float (if dst_ty = F32 then round_f32 f else f)
-  | false, true -> Int64.of_float (fval ())
+  | false, true -> Int64.of_float (Int64.float_of_bits v)
   | false, false -> (
       (* narrow with the destination's signedness *)
       match dst_ty with
@@ -126,7 +141,7 @@ let exec_cvt ~dst_ty ~src_ty v =
           Sim_error.error Sim_error.Internal
             "exec_cvt: float destination in the integer narrowing path")
 
-let exec_cmp c ty a b =
+let[@inline] exec_cmp c ty a b =
   let r =
     if dtype_is_float ty then
       Float.compare (Int64.float_of_bits a) (Int64.float_of_bits b)
@@ -141,375 +156,258 @@ let exec_cmp c ty a b =
   | Gt -> r > 0
   | Ge -> r >= 0
 
-let exec_atom op old v =
-  match op with
-  | Aadd -> Int64.add old v
-  | Amin -> if Int64.compare old v <= 0 then old else v
-  | Amax -> if Int64.compare old v >= 0 then old else v
-  | Aexch -> v
-  | Acas -> v (* compare value handled by the caller if needed *)
-
 (* Execute a non-memory, non-control instruction for one thread,
-   writing results into its register/predicate files. *)
-let exec_alu env th (i : Ptx.Instr.t) =
+   writing results into its register/predicate files: the general
+   per-lane body behind the operand shapes [compile_alu] does not
+   specialise. *)
+let exec_lane env th (i : Ptx.Instr.t) =
   match i with
-  | Mov (d, s) -> th.regs.(d) <- eval_operand env th s
+  | Mov (d, s) -> set_reg th d (eval_operand env th s)
   | Iop (op, d, a, b) ->
-      th.regs.(d) <- exec_iop op (eval_operand env th a) (eval_operand env th b)
+      set_reg th d (exec_iop op (eval_operand env th a) (eval_operand env th b))
   | Mad (d, a, b, c) ->
-      th.regs.(d) <-
-        Int64.add
-          (Int64.mul (eval_operand env th a) (eval_operand env th b))
-          (eval_operand env th c)
+      set_reg th d
+        (Int64.add
+           (Int64.mul (eval_operand env th a) (eval_operand env th b))
+           (eval_operand env th c))
   | Fop (op, ty, d, a, b) ->
-      th.regs.(d) <-
-        Int64.bits_of_float
-          (exec_fop op ty (as_float env th a) (as_float env th b))
+      set_reg th d
+        (Int64.bits_of_float
+           (exec_fop op ty (as_float env th a) (as_float env th b)))
   | Fma (ty, d, a, b, c) ->
       let r = (as_float env th a *. as_float env th b) +. as_float env th c in
-      th.regs.(d) <- Int64.bits_of_float (if ty = F32 then round_f32 r else r)
+      set_reg th d (Int64.bits_of_float (if ty = F32 then round_f32 r else r))
   | Funary (op, ty, d, a) ->
-      th.regs.(d) <- Int64.bits_of_float (exec_funary op ty (as_float env th a))
+      set_reg th d (Int64.bits_of_float (exec_funary op ty (as_float env th a)))
   | Cvt (dst_ty, src_ty, d, a) ->
-      th.regs.(d) <- exec_cvt ~dst_ty ~src_ty (eval_operand env th a)
+      set_reg th d (exec_cvt ~dst_ty ~src_ty (eval_operand env th a))
   | Setp (c, ty, p, a, b) ->
       th.preds.(p) <-
         exec_cmp c ty (eval_operand env th a) (eval_operand env th b)
   | Selp (d, a, b, p) ->
-      th.regs.(d) <-
+      set_reg th d
         (if th.preds.(p) then eval_operand env th a else eval_operand env th b)
   | Pnot (d, s) -> th.preds.(d) <- not th.preds.(s)
   | Pand (d, a, b) -> th.preds.(d) <- th.preds.(a) && th.preds.(b)
   | Por (d, a, b) -> th.preds.(d) <- th.preds.(a) || th.preds.(b)
   | Ld_param _ | Ld _ | St _ | Atom _ | Bra _ | Bar | Exit | Label _ ->
       Sim_error.error Sim_error.Internal
-        "exec_alu: not an ALU instruction: %s" (Ptx.Instr.to_string i)
-
-(* Warp-level ALU execution: match the instruction variant once and
-   loop the active lanes inside each case, instead of re-dispatching
-   through [exec_alu]'s match per lane.  The hot instruction kinds
-   additionally specialise the common operand shapes (register /
-   immediate) so the per-lane body is a straight array read-compute-
-   write with no operand dispatch; every specialised body performs
-   exactly the operations of the general one, so results are
-   bit-identical.  Lane order (ascending) is identical throughout. *)
-let exec_alu_warp env threads mask (i : Ptx.Instr.t) =
-  let iter f =
-    let m = ref mask in
-    let lane = ref 0 in
-    while !m <> 0 do
-      if !m land 1 <> 0 then f threads.(!lane);
-      m := !m lsr 1;
-      incr lane
-    done
-  in
-  match i with
-  | Ptx.Instr.Mov (d, s) -> (
-      match s with
-      | Reg r -> iter (fun th -> th.regs.(d) <- th.regs.(r))
-      | Imm v -> iter (fun th -> th.regs.(d) <- v)
-      | Fimm _ | Sreg _ ->
-          iter (fun th -> th.regs.(d) <- eval_operand env th s))
-  | Iop (op, d, a, b) -> (
-      match (a, b) with
-      | Reg ra, Reg rb ->
-          iter (fun th -> th.regs.(d) <- exec_iop op th.regs.(ra) th.regs.(rb))
-      | Reg ra, Imm vb ->
-          iter (fun th -> th.regs.(d) <- exec_iop op th.regs.(ra) vb)
-      | Imm va, Reg rb ->
-          iter (fun th -> th.regs.(d) <- exec_iop op va th.regs.(rb))
-      | _ ->
-          iter (fun th ->
-              th.regs.(d) <-
-                exec_iop op (eval_operand env th a) (eval_operand env th b)))
-  | Mad (d, a, b, c) -> (
-      match (a, b, c) with
-      | Reg ra, Reg rb, Reg rc ->
-          iter (fun th ->
-              th.regs.(d) <-
-                Int64.add (Int64.mul th.regs.(ra) th.regs.(rb)) th.regs.(rc))
-      | Reg ra, Imm vb, Reg rc ->
-          iter (fun th ->
-              th.regs.(d) <- Int64.add (Int64.mul th.regs.(ra) vb) th.regs.(rc))
-      | _ ->
-          iter (fun th ->
-              th.regs.(d) <-
-                Int64.add
-                  (Int64.mul (eval_operand env th a) (eval_operand env th b))
-                  (eval_operand env th c)))
-  | Fop (op, ty, d, a, b) -> (
-      match (a, b) with
-      | Reg ra, Reg rb ->
-          iter (fun th ->
-              th.regs.(d) <-
-                Int64.bits_of_float
-                  (exec_fop op ty
-                     (Int64.float_of_bits th.regs.(ra))
-                     (Int64.float_of_bits th.regs.(rb))))
-      | _ ->
-          iter (fun th ->
-              th.regs.(d) <-
-                Int64.bits_of_float
-                  (exec_fop op ty (as_float env th a) (as_float env th b))))
-  | Fma (ty, d, a, b, c) -> (
-      match (a, b, c) with
-      | Reg ra, Reg rb, Reg rc ->
-          if ty = F32 then
-            iter (fun th ->
-                let r =
-                  (Int64.float_of_bits th.regs.(ra)
-                  *. Int64.float_of_bits th.regs.(rb))
-                  +. Int64.float_of_bits th.regs.(rc)
-                in
-                th.regs.(d) <- Int64.bits_of_float (round_f32 r))
-          else
-            iter (fun th ->
-                let r =
-                  (Int64.float_of_bits th.regs.(ra)
-                  *. Int64.float_of_bits th.regs.(rb))
-                  +. Int64.float_of_bits th.regs.(rc)
-                in
-                th.regs.(d) <- Int64.bits_of_float r)
-      | _ ->
-          iter (fun th ->
-              let r =
-                (as_float env th a *. as_float env th b) +. as_float env th c
-              in
-              th.regs.(d) <-
-                Int64.bits_of_float (if ty = F32 then round_f32 r else r)))
-  | Funary (op, ty, d, a) ->
-      iter (fun th ->
-          th.regs.(d) <-
-            Int64.bits_of_float (exec_funary op ty (as_float env th a)))
-  | Cvt (dst_ty, src_ty, d, a) -> (
-      match a with
-      | Reg r ->
-          iter (fun th -> th.regs.(d) <- exec_cvt ~dst_ty ~src_ty th.regs.(r))
-      | _ ->
-          iter (fun th ->
-              th.regs.(d) <- exec_cvt ~dst_ty ~src_ty (eval_operand env th a)))
-  | Setp (c, ty, p, a, b) -> (
-      match (a, b) with
-      | Reg ra, Reg rb ->
-          iter (fun th ->
-              th.preds.(p) <- exec_cmp c ty th.regs.(ra) th.regs.(rb))
-      | Reg ra, Imm vb ->
-          iter (fun th -> th.preds.(p) <- exec_cmp c ty th.regs.(ra) vb)
-      | _ ->
-          iter (fun th ->
-              th.preds.(p) <-
-                exec_cmp c ty (eval_operand env th a) (eval_operand env th b)))
-  | Selp (d, a, b, p) -> (
-      match (a, b) with
-      | Reg ra, Reg rb ->
-          iter (fun th ->
-              th.regs.(d) <-
-                (if th.preds.(p) then th.regs.(ra) else th.regs.(rb)))
-      | _ ->
-          iter (fun th ->
-              th.regs.(d) <-
-                (if th.preds.(p) then eval_operand env th a
-                 else eval_operand env th b)))
-  | Pnot (d, s) -> iter (fun th -> th.preds.(d) <- not th.preds.(s))
-  | Pand (d, a, b) ->
-      iter (fun th -> th.preds.(d) <- th.preds.(a) && th.preds.(b))
-  | Por (d, a, b) ->
-      iter (fun th -> th.preds.(d) <- th.preds.(a) || th.preds.(b))
-  | Ld_param _ | Ld _ | St _ | Atom _ | Bra _ | Bar | Exit | Label _ ->
-      Sim_error.error Sim_error.Internal
-        "exec_alu_warp: not an ALU instruction: %s" (Ptx.Instr.to_string i)
+        "exec_lane: not an ALU instruction: %s" (Ptx.Instr.to_string i)
 
 (* Compile one ALU instruction into a ready-to-run closure over
-   (env, threads, mask), built once per pc at decode time.  The operand
-   shape is resolved here, so the per-execution cost is one indirect
-   call and a lane loop whose body is a straight array read-compute-
-   write — no instruction dispatch, no operand dispatch, no per-lane
-   closure invocation.  Every compiled body performs exactly the
-   operations of [exec_alu_warp]'s corresponding path (bit-identical
-   results, ascending lane order); uncompiled shapes fall back to it. *)
+   (env, threads, mask), built once per pc at decode time.  The common
+   operand shapes (register / immediate) are resolved here and register
+   indices pre-scaled to slot offsets, so the per-execution cost is one
+   indirect call and a lane loop whose body is a straight slot
+   read-compute-write — no instruction dispatch, no operand dispatch,
+   no per-lane closure invocation, no allocation.  Every compiled body
+   performs exactly the operations of [exec_lane] (bit-identical
+   results, ascending lane order); other shapes run [exec_lane] per
+   lane. *)
 let compile_alu (i : Ptx.Instr.t) : env -> thread array -> int -> unit =
   match i with
   | Mov (d, Reg r) ->
+      let d = d lsl 3 and r = r lsl 3 in
       fun _ threads mask ->
         let m = ref mask and lane = ref 0 in
         while !m <> 0 do
           (if !m land 1 <> 0 then
-             let th = threads.(!lane) in
-             th.regs.(d) <- th.regs.(r));
+             let x = threads.(!lane).regs in
+             slot_set x d (slot_get x r));
           m := !m lsr 1;
           incr lane
         done
   | Mov (d, Imm v) ->
+      let d = d lsl 3 in
       fun _ threads mask ->
         let m = ref mask and lane = ref 0 in
         while !m <> 0 do
-          if !m land 1 <> 0 then threads.(!lane).regs.(d) <- v;
+          if !m land 1 <> 0 then slot_set threads.(!lane).regs d v;
           m := !m lsr 1;
           incr lane
         done
   | Iop (Add, d, Reg ra, Reg rb) ->
+      let d = d lsl 3 and ra = ra lsl 3 and rb = rb lsl 3 in
       fun _ threads mask ->
         let m = ref mask and lane = ref 0 in
         while !m <> 0 do
           (if !m land 1 <> 0 then
-             let th = threads.(!lane) in
-             th.regs.(d) <- Int64.add th.regs.(ra) th.regs.(rb));
+             let x = threads.(!lane).regs in
+             slot_set x d (Int64.add (slot_get x ra) (slot_get x rb)));
           m := !m lsr 1;
           incr lane
         done
   | Iop (Add, d, Reg ra, Imm vb) ->
+      let d = d lsl 3 and ra = ra lsl 3 in
       fun _ threads mask ->
         let m = ref mask and lane = ref 0 in
         while !m <> 0 do
           (if !m land 1 <> 0 then
-             let th = threads.(!lane) in
-             th.regs.(d) <- Int64.add th.regs.(ra) vb);
+             let x = threads.(!lane).regs in
+             slot_set x d (Int64.add (slot_get x ra) vb));
           m := !m lsr 1;
           incr lane
         done
   | Iop (Mul, d, Reg ra, Imm vb) ->
+      let d = d lsl 3 and ra = ra lsl 3 in
       fun _ threads mask ->
         let m = ref mask and lane = ref 0 in
         while !m <> 0 do
           (if !m land 1 <> 0 then
-             let th = threads.(!lane) in
-             th.regs.(d) <- Int64.mul th.regs.(ra) vb);
+             let x = threads.(!lane).regs in
+             slot_set x d (Int64.mul (slot_get x ra) vb));
           m := !m lsr 1;
           incr lane
         done
   | Iop (op, d, Reg ra, Reg rb) ->
+      let d = d lsl 3 and ra = ra lsl 3 and rb = rb lsl 3 in
       fun _ threads mask ->
         let m = ref mask and lane = ref 0 in
         while !m <> 0 do
           (if !m land 1 <> 0 then
-             let th = threads.(!lane) in
-             th.regs.(d) <- exec_iop op th.regs.(ra) th.regs.(rb));
+             let x = threads.(!lane).regs in
+             slot_set x d (exec_iop op (slot_get x ra) (slot_get x rb)));
           m := !m lsr 1;
           incr lane
         done
   | Iop (op, d, Reg ra, Imm vb) ->
+      let d = d lsl 3 and ra = ra lsl 3 in
       fun _ threads mask ->
         let m = ref mask and lane = ref 0 in
         while !m <> 0 do
           (if !m land 1 <> 0 then
-             let th = threads.(!lane) in
-             th.regs.(d) <- exec_iop op th.regs.(ra) vb);
+             let x = threads.(!lane).regs in
+             slot_set x d (exec_iop op (slot_get x ra) vb));
           m := !m lsr 1;
           incr lane
         done
   | Iop (op, d, Imm va, Reg rb) ->
+      let d = d lsl 3 and rb = rb lsl 3 in
       fun _ threads mask ->
         let m = ref mask and lane = ref 0 in
         while !m <> 0 do
           (if !m land 1 <> 0 then
-             let th = threads.(!lane) in
-             th.regs.(d) <- exec_iop op va th.regs.(rb));
+             let x = threads.(!lane).regs in
+             slot_set x d (exec_iop op va (slot_get x rb)));
           m := !m lsr 1;
           incr lane
         done
   | Mad (d, Reg ra, Reg rb, Reg rc) ->
+      let d = d lsl 3 and ra = ra lsl 3 and rb = rb lsl 3 and rc = rc lsl 3 in
       fun _ threads mask ->
         let m = ref mask and lane = ref 0 in
         while !m <> 0 do
           (if !m land 1 <> 0 then
-             let th = threads.(!lane) in
-             th.regs.(d) <-
-               Int64.add (Int64.mul th.regs.(ra) th.regs.(rb)) th.regs.(rc));
+             let x = threads.(!lane).regs in
+             slot_set x d
+               (Int64.add (Int64.mul (slot_get x ra) (slot_get x rb))
+                  (slot_get x rc)));
           m := !m lsr 1;
           incr lane
         done
   | Mad (d, Reg ra, Imm vb, Reg rc) ->
+      let d = d lsl 3 and ra = ra lsl 3 and rc = rc lsl 3 in
       fun _ threads mask ->
         let m = ref mask and lane = ref 0 in
         while !m <> 0 do
           (if !m land 1 <> 0 then
-             let th = threads.(!lane) in
-             th.regs.(d) <- Int64.add (Int64.mul th.regs.(ra) vb) th.regs.(rc));
+             let x = threads.(!lane).regs in
+             slot_set x d
+               (Int64.add (Int64.mul (slot_get x ra) vb) (slot_get x rc)));
           m := !m lsr 1;
           incr lane
         done
   | Fop (op, ty, d, Reg ra, Reg rb) ->
+      let d = d lsl 3 and ra = ra lsl 3 and rb = rb lsl 3 in
       fun _ threads mask ->
         let m = ref mask and lane = ref 0 in
         while !m <> 0 do
           (if !m land 1 <> 0 then
-             let th = threads.(!lane) in
-             th.regs.(d) <-
-               Int64.bits_of_float
-                 (exec_fop op ty
-                    (Int64.float_of_bits th.regs.(ra))
-                    (Int64.float_of_bits th.regs.(rb))));
+             let x = threads.(!lane).regs in
+             slot_set x d
+               (Int64.bits_of_float
+                  (exec_fop op ty
+                     (Int64.float_of_bits (slot_get x ra))
+                     (Int64.float_of_bits (slot_get x rb)))));
           m := !m lsr 1;
           incr lane
         done
   | Fma (F32, d, Reg ra, Reg rb, Reg rc) ->
+      let d = d lsl 3 and ra = ra lsl 3 and rb = rb lsl 3 and rc = rc lsl 3 in
       fun _ threads mask ->
         let m = ref mask and lane = ref 0 in
         while !m <> 0 do
           (if !m land 1 <> 0 then
-             let th = threads.(!lane) in
+             let x = threads.(!lane).regs in
              let r =
-               (Int64.float_of_bits th.regs.(ra)
-               *. Int64.float_of_bits th.regs.(rb))
-               +. Int64.float_of_bits th.regs.(rc)
+               (Int64.float_of_bits (slot_get x ra)
+               *. Int64.float_of_bits (slot_get x rb))
+               +. Int64.float_of_bits (slot_get x rc)
              in
-             th.regs.(d) <- Int64.bits_of_float (round_f32 r));
+             slot_set x d (Int64.bits_of_float (round_f32 r)));
           m := !m lsr 1;
           incr lane
         done
   | Fma ((F64 | U8 | S8 | U16 | S16 | U32 | S32 | U64 | S64), d,
          Reg ra, Reg rb, Reg rc) ->
+      let d = d lsl 3 and ra = ra lsl 3 and rb = rb lsl 3 and rc = rc lsl 3 in
       fun _ threads mask ->
         let m = ref mask and lane = ref 0 in
         while !m <> 0 do
           (if !m land 1 <> 0 then
-             let th = threads.(!lane) in
+             let x = threads.(!lane).regs in
              let r =
-               (Int64.float_of_bits th.regs.(ra)
-               *. Int64.float_of_bits th.regs.(rb))
-               +. Int64.float_of_bits th.regs.(rc)
+               (Int64.float_of_bits (slot_get x ra)
+               *. Int64.float_of_bits (slot_get x rb))
+               +. Int64.float_of_bits (slot_get x rc)
              in
-             th.regs.(d) <- Int64.bits_of_float r);
+             slot_set x d (Int64.bits_of_float r));
           m := !m lsr 1;
           incr lane
         done
   | Cvt (dst_ty, src_ty, d, Reg r) ->
+      let d = d lsl 3 and r = r lsl 3 in
       fun _ threads mask ->
         let m = ref mask and lane = ref 0 in
         while !m <> 0 do
           (if !m land 1 <> 0 then
-             let th = threads.(!lane) in
-             th.regs.(d) <- exec_cvt ~dst_ty ~src_ty th.regs.(r));
+             let x = threads.(!lane).regs in
+             slot_set x d (exec_cvt ~dst_ty ~src_ty (slot_get x r)));
           m := !m lsr 1;
           incr lane
         done
   | Setp (c, ty, p, Reg ra, Reg rb) ->
+      let ra = ra lsl 3 and rb = rb lsl 3 in
       fun _ threads mask ->
         let m = ref mask and lane = ref 0 in
         while !m <> 0 do
           (if !m land 1 <> 0 then
              let th = threads.(!lane) in
-             th.preds.(p) <- exec_cmp c ty th.regs.(ra) th.regs.(rb));
+             th.preds.(p) <-
+               exec_cmp c ty (slot_get th.regs ra) (slot_get th.regs rb));
           m := !m lsr 1;
           incr lane
         done
   | Setp (c, ty, p, Reg ra, Imm vb) ->
+      let ra = ra lsl 3 in
       fun _ threads mask ->
         let m = ref mask and lane = ref 0 in
         while !m <> 0 do
           (if !m land 1 <> 0 then
              let th = threads.(!lane) in
-             th.preds.(p) <- exec_cmp c ty th.regs.(ra) vb);
+             th.preds.(p) <- exec_cmp c ty (slot_get th.regs ra) vb);
           m := !m lsr 1;
           incr lane
         done
   | Selp (d, Reg ra, Reg rb, p) ->
+      let d = d lsl 3 and ra = ra lsl 3 and rb = rb lsl 3 in
       fun _ threads mask ->
         let m = ref mask and lane = ref 0 in
         while !m <> 0 do
           (if !m land 1 <> 0 then
              let th = threads.(!lane) in
-             th.regs.(d) <- (if th.preds.(p) then th.regs.(ra) else th.regs.(rb)));
+             let x = th.regs in
+             slot_set x d (slot_get x (if th.preds.(p) then ra else rb)));
           m := !m lsr 1;
           incr lane
         done
@@ -545,7 +443,13 @@ let compile_alu (i : Ptx.Instr.t) : env -> thread array -> int -> unit =
         done
   | Mov _ | Iop _ | Mad _ | Fop _ | Fma _ | Funary _ | Cvt _ | Setp _
   | Selp _ ->
-      fun env threads mask -> exec_alu_warp env threads mask i
+      fun env threads mask ->
+        let m = ref mask and lane = ref 0 in
+        while !m <> 0 do
+          if !m land 1 <> 0 then exec_lane env threads.(!lane) i;
+          m := !m lsr 1;
+          incr lane
+        done
   | Ld_param _ | Ld _ | St _ | Atom _ | Bra _ | Bar | Exit | Label _ ->
       fun _ _ _ ->
         Sim_error.error Sim_error.Internal

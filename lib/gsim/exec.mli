@@ -6,12 +6,29 @@
 
 open Ptx.Types
 
+(** One thread's register state.  [regs] holds general register [r]
+    unboxed in the 8 bytes at offset [r lsl 3] (see {!reg},
+    {!slot_get}); [preds] holds the predicate registers. *)
 type thread = {
-  regs : int64 array;
+  regs : Bytes.t;
   preds : bool array;
   tid : int * int * int;
   lane : int;
 }
+
+val make_regs : int -> Bytes.t
+(** [make_regs n] is a register file of [n] zeroed slots. *)
+
+val reg : thread -> int -> int64
+val set_reg : thread -> int -> int64 -> unit
+
+(** Unchecked 8-byte slot access at a byte offset.  They are
+    primitives so that callers in other modules read and write
+    register values without boxing them; offsets must come from
+    register indices a verified kernel uses. *)
+
+external slot_get : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external slot_set : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 (** Per-warp execution environment (identical for all lanes). *)
 type env = {
@@ -34,25 +51,13 @@ val exec_funary : funary -> dtype -> float -> float
 val exec_cvt : dst_ty:dtype -> src_ty:dtype -> int64 -> int64
 val exec_cmp : cmp -> dtype -> int64 -> int64 -> bool
 
-val exec_atom : atomop -> int64 -> int64 -> int64
-(** [exec_atom op old v] is the new memory value. *)
-
-val exec_alu : env -> thread -> Ptx.Instr.t -> unit
-(** Execute a non-memory, non-control instruction for one thread.
-    @raise Invalid_argument on memory/control instructions. *)
-
-val exec_alu_warp : env -> thread array -> int -> Ptx.Instr.t -> unit
-(** [exec_alu_warp env threads mask i] executes [i] for every lane set
-    in [mask] (ascending), dispatching on the instruction once for the
-    whole warp.  Semantically identical to [exec_alu] per active lane.
-    @raise Invalid_argument on memory/control instructions. *)
-
 val compile_alu : Ptx.Instr.t -> env -> thread array -> int -> unit
 (** [compile_alu i] specialises [i] into a closure executing it for
     every lane set in the mask argument (ascending).  Operand-shape
     dispatch happens at compile time, once per pc per launch; results
-    are bit-identical to {!exec_alu_warp}.  Compiling a memory/control
-    instruction yields a closure that raises when invoked. *)
+    are bit-identical to executing the instruction's semantics lane by
+    lane.  Compiling a memory/control instruction yields a closure that
+    raises when invoked. *)
 
 (** Functional-unit class (for the Fig 4 occupancy statistics). *)
 type unit_class = SP | SFU | LDST

@@ -174,6 +174,7 @@ let exec_launch ~warp_size ?(max_warp_insts = 0) ?(insts = 0) ~on_mem
     ~on_cta (launch : Launch.t) =
   let n_ctas = Launch.n_ctas launch in
   let insts = ref insts in
+  let budget_left () = max_warp_insts = 0 || !insts < max_warp_insts in
   let capped = ref false in
   let cta_lin = ref 0 in
   while !cta_lin < n_ctas && not !capped do
@@ -181,10 +182,6 @@ let exec_launch ~warp_size ?(max_warp_insts = 0) ?(insts = 0) ~on_mem
     let warps = cta.Cta.warps in
     let n = Array.length warps in
     let at_barrier = Array.make n false in
-    let local_insts = ref 0 in
-    let budget_left () =
-      max_warp_insts = 0 || !insts + !local_insts < max_warp_insts
-    in
     let progress = ref true in
     while (not (Cta.all_finished cta)) && !progress && budget_left () do
       progress := false;
@@ -204,7 +201,7 @@ let exec_launch ~warp_size ?(max_warp_insts = 0) ?(insts = 0) ~on_mem
           progress := true;
           let stop = ref false in
           while (not !stop) && budget_left () do
-            incr local_insts;
+            incr insts;
             match Warp.step w with
             | Warp.S_alu _ -> ()
             | Warp.S_mem m -> on_mem !cta_lin m
@@ -223,7 +220,6 @@ let exec_launch ~warp_size ?(max_warp_insts = 0) ?(insts = 0) ~on_mem
         wi := !wi + w.Warp.warp_insts;
         ti := !ti + w.Warp.thread_insts)
       warps;
-    insts := !insts + !wi;
     on_cta ~warp_insts:!wi ~thread_insts:!ti;
     if not (budget_left ()) then capped := true;
     incr cta_lin

@@ -30,11 +30,16 @@ let check t addr len =
       "access [%d,+%d) out of bounds [0,%d)" addr len t.size;
   if addr + len > t.zeroed then extend_zero t (addr + len)
 
+(* Unchecked 8-byte access to a register slot (see [Exec.thread]). *)
+external slot_get : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external slot_set : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
 (* All loads zero-extend into the 64-bit register except the signed
-   narrow types, which sign-extend (as PTX ld.sN does). *)
-let load t (ty : Ptx.Types.dtype) addr =
+   narrow types, which sign-extend (as PTX ld.sN does).  [get]/[put]
+   are the unchecked bodies shared by the boxed entry points and the
+   register-slot ones; inlined, they keep the value unboxed. *)
+let[@inline] get t (ty : Ptx.Types.dtype) addr =
   let open Ptx.Types in
-  check t addr (dtype_size ty);
   match ty with
   | U8 -> Int64.of_int (Char.code (Bytes.get t.data addr))
   | S8 -> Int64.of_int (Bytes.get_int8 t.data addr)
@@ -49,9 +54,8 @@ let load t (ty : Ptx.Types.dtype) addr =
         (Int32.float_of_bits (Bytes.get_int32_le t.data addr))
   | F64 -> Bytes.get_int64_le t.data addr
 
-let store t (ty : Ptx.Types.dtype) addr v =
+let[@inline] put t (ty : Ptx.Types.dtype) addr v =
   let open Ptx.Types in
-  check t addr (dtype_size ty);
   match ty with
   | U8 | S8 -> Bytes.set_int8 t.data addr (Int64.to_int v land 0xFF)
   | U16 | S16 -> Bytes.set_uint16_le t.data addr (Int64.to_int v land 0xFFFF)
@@ -61,6 +65,36 @@ let store t (ty : Ptx.Types.dtype) addr v =
       Bytes.set_int32_le t.data addr
         (Int32.bits_of_float (Int64.float_of_bits v))
   | F64 -> Bytes.set_int64_le t.data addr v
+
+let load t ty addr =
+  check t addr (Ptx.Types.dtype_size ty);
+  get t ty addr
+
+let store t ty addr v =
+  check t addr (Ptx.Types.dtype_size ty);
+  put t ty addr v
+
+let load_into t ty addr regs off =
+  check t addr (Ptx.Types.dtype_size ty);
+  slot_set regs off (get t ty addr)
+
+let store_from t ty addr regs off =
+  check t addr (Ptx.Types.dtype_size ty);
+  put t ty addr (slot_get regs off)
+
+let[@inline] atomic_value (op : Ptx.Types.atomop) old v =
+  match op with
+  | Aadd -> Int64.add old v
+  | Amin -> if Int64.compare old v <= 0 then old else v
+  | Amax -> if Int64.compare old v >= 0 then old else v
+  | Aexch -> v
+  | Acas -> v (* compare value handled by the caller if needed *)
+
+let atomic_into t op ty addr v regs off =
+  check t addr (Ptx.Types.dtype_size ty);
+  let old = get t ty addr in
+  put t ty addr (atomic_value op old v);
+  slot_set regs off old
 
 (* Byte-for-byte equality of contents.  Bytes past a watermark are
    logically zero, so both buffers are first zeroed up to the higher

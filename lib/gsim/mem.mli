@@ -13,10 +13,35 @@ val size : t -> int
 val load : t -> Ptx.Types.dtype -> int -> int64
 (** Typed load; narrow signed types sign-extend, unsigned zero-extend,
     F32 widens to double bits.
-    @raise Invalid_argument on out-of-bounds access. *)
+    @raise Sim_error.Error ([Mem_fault]) on out-of-bounds access. *)
 
 val store : t -> Ptx.Types.dtype -> int -> int64 -> unit
-(** Typed store. @raise Invalid_argument on out-of-bounds access. *)
+(** Typed store. @raise Sim_error.Error ([Mem_fault]) on out-of-bounds access. *)
+
+(** {1 Register-slot access}
+
+    The warp's load/store paths move values between memory and an
+    unboxed register slot (the 8 bytes at [off] of a register file, see
+    {!Exec.thread}) without an [int64] box on the way.  Each behaves as
+    its boxed counterpart, with the same bounds check. *)
+
+val load_into : t -> Ptx.Types.dtype -> int -> Bytes.t -> int -> unit
+(** [load_into t ty addr regs off] stores [load t ty addr] in the slot
+    at [off] of [regs]. *)
+
+val store_from : t -> Ptx.Types.dtype -> int -> Bytes.t -> int -> unit
+(** [store_from t ty addr regs off] is [store t ty addr] of the slot at
+    [off] of [regs]. *)
+
+val atomic_value : Ptx.Types.atomop -> int64 -> int64 -> int64
+(** [atomic_value op old v] is the value an atomic leaves in memory. *)
+
+val atomic_into :
+  t -> Ptx.Types.atomop -> Ptx.Types.dtype -> int -> int64 -> Bytes.t -> int ->
+  unit
+(** [atomic_into t op ty addr v regs off] applies [op] with operand [v]
+    to the value at [addr] and stores the old value in the slot at
+    [off] of [regs]; nothing is written when the access faults. *)
 
 val equal : t -> t -> bool
 (** Same size and the same bytes at every address. *)

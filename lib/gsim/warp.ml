@@ -11,12 +11,16 @@ open Ptx.Types
 
 type mem_kind = Load | Store | Atomic
 
+(* Each warp owns one [mem_op] and the [S_mem] wrapping it, rewritten
+   by every memory step, so a step allocates no result: consume it
+   before stepping the warp again (both simulators do, in the same call
+   frame). *)
 type mem_op = {
-  m_pc : int;
-  m_space : space;
-  m_kind : mem_kind;
-  m_dtype : dtype;
-  m_mask : int; (* lanes active for this access *)
+  mutable m_pc : int;
+  mutable m_space : space;
+  mutable m_kind : mem_kind;
+  mutable m_dtype : dtype;
+  mutable m_mask : int; (* lanes active for this access *)
   m_addrs : int array; (* per-lane effective byte address *)
 }
 
@@ -27,14 +31,9 @@ type step_result =
   | S_exit_partial (* some lanes finished; warp continues *)
   | S_exit_warp (* all lanes finished *)
 
-(* Access to the memories this warp's CTA can see.  [atomic] returns
-   the old value.  The three backing stores are exposed directly so the
-   per-lane load/store loops can call [Mem.load]/[Mem.store] without an
-   indirect dispatch; the closures remain for the uncommon paths. *)
+(* The memories this warp's CTA can see; the per-lane load/store/atomic
+   loops call [Mem] on them directly. *)
 type mem_iface = {
-  read : space -> dtype -> int -> int64;
-  write : space -> dtype -> int -> int64 -> unit;
-  atomic : atomop -> dtype -> int -> int64 -> int64;
   m_global : Mem.t; (* also serves const/tex/param *)
   m_shared : Mem.t;
   m_local : Mem.t;
@@ -58,7 +57,8 @@ type t = {
   params : (string, int64) Hashtbl.t;
   reconv_of_pc : int array; (* per-branch reconvergence pc, -1 = exit *)
   mem : mem_iface;
-  scratch_addrs : int array; (* reused [mem_op.m_addrs] buffer *)
+  mop : mem_op; (* reused by every memory step *)
+  mem_step : step_result; (* [S_mem mop] *)
   mutable stack : entry list;
   mutable warp_insts : int;
   mutable thread_insts : int;
@@ -91,6 +91,10 @@ let reconvergence_table kernel =
 
 let create ~warp_id ~cta_lin ~decode ~env ~threads ~valid_mask ~params
     ~reconv_of_pc ~mem kernel =
+  let mop =
+    { m_pc = -1; m_space = Global; m_kind = Load; m_dtype = U32; m_mask = 0;
+      m_addrs = Array.make (Array.length threads) (-1) }
+  in
   {
     warp_id;
     cta_lin;
@@ -102,7 +106,8 @@ let create ~warp_id ~cta_lin ~decode ~env ~threads ~valid_mask ~params
     params;
     reconv_of_pc;
     mem;
-    scratch_addrs = Array.make (Array.length threads) (-1);
+    mop;
+    mem_step = S_mem mop;
     stack = [ { spc = 0; smask = valid_mask; sreconv = -1 } ];
     warp_insts = 0;
     thread_insts = 0;
@@ -201,7 +206,32 @@ let peek_unit w =
   | [] -> Exec.SP
   | e :: _ -> w.decode.Decode.units.(e.spc)
 
-(* Execute one warp instruction.  Assumes the warp is not finished. *)
+(* Step results without a payload to fill in are constants. *)
+let s_alu = function
+  | Exec.SP -> S_alu Exec.SP
+  | Exec.SFU -> S_alu Exec.SFU
+  | Exec.LDST -> S_alu Exec.LDST
+
+let mem_result w ~pc ~space ~kind ~dtype ~mask =
+  let m = w.mop in
+  m.m_pc <- pc;
+  m.m_space <- space;
+  m.m_kind <- kind;
+  m.m_dtype <- dtype;
+  m.m_mask <- mask;
+  w.mem_step
+
+(* A lane's effective address, with the common register base read
+   straight from its slot. *)
+let[@inline] lane_addr env th (a : addr) =
+  match a.abase with
+  | Reg r -> Int64.to_int (Exec.slot_get th.Exec.regs (r lsl 3)) + a.aoffset
+  | _ -> Exec.eval_addr env th a
+
+(* Execute one warp instruction.  Assumes the warp is not finished.
+   The memory lane loops record each active lane's address in
+   [mop.m_addrs]; it is only ever read through [m_mask], so
+   inactive-lane entries may hold stale values. *)
 let step_unguarded w : step_result =
   skip_labels w;
   match w.stack with
@@ -228,9 +258,9 @@ let step_unguarded w : step_result =
           S_alu Exec.SP
       | Ptx.Instr.Ld_param (d, p) ->
           let v =
-            match Hashtbl.find_opt w.params p with
-            | Some v -> v
-            | None ->
+            match Hashtbl.find w.params p with
+            | v -> v
+            | exception Not_found ->
                 let bound =
                   Hashtbl.fold (fun k _ acc -> k :: acc) w.params []
                   |> List.sort compare
@@ -240,86 +270,75 @@ let step_unguarded w : step_result =
                   w.kernel.Ptx.Kernel.kname p
                   (if bound = [] then "none" else String.concat ", " bound)
           in
-          iter_active mask (fun lane -> w.threads.(lane).Exec.regs.(d) <- v);
+          let d = d lsl 3 in
+          let m = ref mask and lane = ref 0 in
+          while !m <> 0 do
+            if !m land 1 <> 0 then Exec.slot_set w.threads.(!lane).Exec.regs d v;
+            m := !m lsr 1;
+            incr lane
+          done;
           advance w (pc + 1);
           S_alu Exec.SP
       | Ptx.Instr.Ld (sp, ty, d, a) ->
-          (* [scratch_addrs] is only ever read through [m_mask], so
-             inactive-lane slots may hold stale values.  The common
-             register-base address is specialised to keep the per-lane
-             body free of operand dispatch. *)
-          let addrs = w.scratch_addrs in
+          let addrs = w.mop.m_addrs in
           let mm = mem_of_space w.mem sp in
-          (match a.abase with
-          | Reg r ->
-              let off = a.aoffset in
-              let m = ref mask and lane = ref 0 in
-              while !m <> 0 do
-                (if !m land 1 <> 0 then begin
-                   let th = w.threads.(!lane) in
-                   let addr = Int64.to_int th.Exec.regs.(r) + off in
-                   addrs.(!lane) <- addr;
-                   th.Exec.regs.(d) <- Mem.load mm ty addr
-                 end);
-                m := !m lsr 1;
-                incr lane
-              done
-          | _ ->
-              iter_active mask (fun lane ->
-                  let th = w.threads.(lane) in
-                  let addr = Exec.eval_addr w.env th a in
-                  addrs.(lane) <- addr;
-                  th.Exec.regs.(d) <- Mem.load mm ty addr));
+          let d = d lsl 3 in
+          let m = ref mask and lane = ref 0 in
+          while !m <> 0 do
+            (if !m land 1 <> 0 then begin
+               let th = w.threads.(!lane) in
+               let addr = lane_addr w.env th a in
+               addrs.(!lane) <- addr;
+               Mem.load_into mm ty addr th.Exec.regs d
+             end);
+            m := !m lsr 1;
+            incr lane
+          done;
           advance w (pc + 1);
-          S_mem
-            { m_pc = pc; m_space = sp; m_kind = Load; m_dtype = ty;
-              m_mask = mask; m_addrs = addrs }
+          mem_result w ~pc ~space:sp ~kind:Load ~dtype:ty ~mask
       | Ptx.Instr.St (sp, ty, a, v) ->
-          let addrs = w.scratch_addrs in
+          let addrs = w.mop.m_addrs in
           let mm = mem_of_space w.mem sp in
-          (match (a.abase, v) with
-          | Reg r, Reg rv ->
-              let off = a.aoffset in
-              let m = ref mask and lane = ref 0 in
-              while !m <> 0 do
-                (if !m land 1 <> 0 then begin
-                   let th = w.threads.(!lane) in
-                   let addr = Int64.to_int th.Exec.regs.(r) + off in
-                   addrs.(!lane) <- addr;
-                   Mem.store mm ty addr th.Exec.regs.(rv)
-                 end);
-                m := !m lsr 1;
-                incr lane
-              done
-          | _ ->
-              iter_active mask (fun lane ->
-                  let th = w.threads.(lane) in
-                  let addr = Exec.eval_addr w.env th a in
-                  addrs.(lane) <- addr;
-                  Mem.store mm ty addr (Exec.eval_operand w.env th v)));
+          let m = ref mask and lane = ref 0 in
+          while !m <> 0 do
+            (if !m land 1 <> 0 then begin
+               let th = w.threads.(!lane) in
+               let addr = lane_addr w.env th a in
+               addrs.(!lane) <- addr;
+               match v with
+               | Reg rv -> Mem.store_from mm ty addr th.Exec.regs (rv lsl 3)
+               | _ -> Mem.store mm ty addr (Exec.eval_operand w.env th v)
+             end);
+            m := !m lsr 1;
+            incr lane
+          done;
           advance w (pc + 1);
-          S_mem
-            { m_pc = pc; m_space = sp; m_kind = Store; m_dtype = ty;
-              m_mask = mask; m_addrs = addrs }
+          mem_result w ~pc ~space:sp ~kind:Store ~dtype:ty ~mask
       | Ptx.Instr.Atom (op, ty, d, a, v) ->
-          let addrs = w.scratch_addrs in
-          iter_active mask (fun lane ->
-              let th = w.threads.(lane) in
-              let addr = Exec.eval_addr w.env th a in
-              addrs.(lane) <- addr;
-              th.Exec.regs.(d) <-
-                w.mem.atomic op ty addr (Exec.eval_operand w.env th v));
+          let addrs = w.mop.m_addrs in
+          let mm = w.mem.m_global in
+          let d = d lsl 3 in
+          let m = ref mask and lane = ref 0 in
+          while !m <> 0 do
+            (if !m land 1 <> 0 then begin
+               let th = w.threads.(!lane) in
+               let addr = lane_addr w.env th a in
+               addrs.(!lane) <- addr;
+               Mem.atomic_into mm op ty addr (Exec.eval_operand w.env th v)
+                 th.Exec.regs d
+             end);
+            m := !m lsr 1;
+            incr lane
+          done;
           advance w (pc + 1);
-          S_mem
-            { m_pc = pc; m_space = Global; m_kind = Atomic; m_dtype = ty;
-              m_mask = mask; m_addrs = addrs }
+          mem_result w ~pc ~space:Global ~kind:Atomic ~dtype:ty ~mask
       | Ptx.Instr.Mov _ | Ptx.Instr.Iop _ | Ptx.Instr.Mad _ | Ptx.Instr.Fop _
       | Ptx.Instr.Fma _ | Ptx.Instr.Funary _ | Ptx.Instr.Cvt _
       | Ptx.Instr.Setp _ | Ptx.Instr.Selp _ | Ptx.Instr.Pnot _
       | Ptx.Instr.Pand _ | Ptx.Instr.Por _ ->
           w.decode.Decode.alu.(pc) w.env w.threads mask;
           advance w (pc + 1);
-          S_alu w.decode.Decode.units.(pc))
+          s_alu w.decode.Decode.units.(pc))
 
 (* [step_unguarded] with execution context attached to any simulator
    fault: faulting instructions do not advance the pc, so [pc w] at

@@ -11,15 +11,16 @@ open Ptx.Types
 type mem_kind = Load | Store | Atomic
 
 (** A warp-level memory operation: which lanes were active and the
-    per-lane effective byte addresses.  [m_addrs] aliases the warp's
-    reused scratch buffer — consume it before stepping the warp
+    per-lane effective byte addresses.  Each warp owns one [mem_op]
+    (and the [S_mem] holding it) that every memory step rewrites, so
+    stepping allocates no result: consume it before stepping the warp
     again (both simulators do so in the same call frame). *)
 type mem_op = {
-  m_pc : int;
-  m_space : space;
-  m_kind : mem_kind;
-  m_dtype : dtype;
-  m_mask : int;
+  mutable m_pc : int;
+  mutable m_space : space;
+  mutable m_kind : mem_kind;
+  mutable m_dtype : dtype;
+  mutable m_mask : int;
   m_addrs : int array;
 }
 
@@ -30,13 +31,9 @@ type step_result =
   | S_exit_partial  (** some lanes finished; the warp continues *)
   | S_exit_warp  (** all lanes finished *)
 
-(** Access to the memories this warp's CTA can see; [atomic] returns
-    the old value. *)
+(** The memories this warp's CTA can see. *)
 type mem_iface = {
-  read : space -> dtype -> int -> int64;
-  write : space -> dtype -> int -> int64 -> unit;
-  atomic : atomop -> dtype -> int -> int64 -> int64;
-  m_global : Mem.t;  (** also serves const/tex/param *)
+  m_global : Mem.t;  (** also serves const/tex/param and atomics *)
   m_shared : Mem.t;
   m_local : Mem.t;
 }
@@ -52,9 +49,8 @@ type t = {
   params : (string, int64) Hashtbl.t;
   reconv_of_pc : int array;
   mem : mem_iface;
-  scratch_addrs : int array;
-      (** reused buffer behind [mem_op.m_addrs]: valid only until the
-          next [step] of this warp *)
+  mop : mem_op;  (** rewritten by every memory step *)
+  mem_step : step_result;  (** [S_mem mop], returned by memory steps *)
   mutable stack : entry list;
   mutable warp_insts : int;
   mutable thread_insts : int;

@@ -8,7 +8,7 @@ let env =
     warp_in_cta = 1 }
 
 let thread ?(regs = 8) ?(preds = 2) () =
-  { Gsim.Exec.regs = Array.make regs 0L; preds = Array.make preds false;
+  { Gsim.Exec.regs = Gsim.Exec.make_regs regs; preds = Array.make preds false;
     tid = (5, 1, 0); lane = 5 }
 
 (* ---------------- operand evaluation ---------------- *)
@@ -24,12 +24,12 @@ let test_sreg_values () =
   Alcotest.(check int64) "laneid" 5L (ev (Sreg Laneid));
   Alcotest.(check int64) "warpid" 1L (ev (Sreg Warpid));
   Alcotest.(check int64) "imm" 42L (ev (Imm 42L));
-  th.Gsim.Exec.regs.(3) <- 7L;
+  Gsim.Exec.set_reg th 3 7L;
   Alcotest.(check int64) "reg" 7L (ev (Reg 3))
 
 let test_eval_addr () =
   let th = thread () in
-  th.Gsim.Exec.regs.(0) <- 1000L;
+  Gsim.Exec.set_reg th 0 1000L;
   Alcotest.(check int) "base+offset" 1016
     (Gsim.Exec.eval_addr env th { abase = Reg 0; aoffset = 16 })
 
@@ -93,7 +93,7 @@ let test_cvt () =
     (cv ~dst_ty:S32 ~src_ty:F32 (Int64.bits_of_float 12.9))
 
 let test_atom_semantics () =
-  let a = Gsim.Exec.exec_atom in
+  let a = Gsim.Mem.atomic_value in
   Alcotest.(check int64) "add" 10L (a Aadd 7L 3L);
   Alcotest.(check int64) "min keeps old" 3L (a Amin 3L 7L);
   Alcotest.(check int64) "min takes new" 3L (a Amin 7L 3L);
@@ -160,6 +160,145 @@ let prop_mem_roundtrip_f32 =
       Gsim.Mem.set_f32 m 0 f;
       Gsim.Mem.get_f32 m 0 = Gsim.Exec.round_f32 f)
 
+(* ---------------- register slots ---------------- *)
+
+(* Values a register must carry bit for bit: the extremes, and NaN
+   patterns (quiet, signalling, negative) that a float round trip could
+   canonicalize. *)
+let special_int64s =
+  [ 0L; 1L; -1L; Int64.min_int; Int64.max_int;
+    Int64.bits_of_float Float.nan; 0x7FF8000000000001L; 0x7FF0000000000001L;
+    0xFFF8000000000000L; 0xFFFFFFFFFFFFFFFFL ]
+
+(* Each register keeps exactly what was written to it, whatever its
+   neighbours hold. *)
+let check_reg_roundtrip vs =
+  let nregs = List.length vs in
+  let th = thread ~regs:nregs () in
+  List.iteri (fun r v -> Gsim.Exec.set_reg th r v) vs;
+  List.iteri
+    (fun r v ->
+      if Gsim.Exec.reg th r <> v then
+        QCheck.Test.fail_reportf "r%d: wrote %Lx, read %Lx" r v
+          (Gsim.Exec.reg th r))
+    vs;
+  true
+
+let test_reg_special_values () =
+  ignore (check_reg_roundtrip special_int64s : bool);
+  let th = thread () in
+  Alcotest.(check int64) "fresh registers are zero" 0L (Gsim.Exec.reg th 7)
+
+let prop_reg_roundtrip =
+  QCheck.Test.make ~count:300 ~name:"register slots round-trip int64"
+    QCheck.(list_of_size Gen.(int_range 1 16) int64)
+    check_reg_roundtrip
+
+(* ---------------- register-slot memory entry points ---------------- *)
+
+let all_dtypes = [ U8; S8; U16; S16; U32; S32; U64; S64; F32; F64 ]
+let mem_size = 64
+
+(* A memory filled with the given 64-bit words. *)
+let mem_of_words words =
+  let m = Gsim.Mem.create mem_size in
+  List.iteri (fun i w -> Gsim.Mem.set_i64 m (8 * i) w) words;
+  m
+
+(* dtype, contents, in-bounds address, register slot, value *)
+let gen_slot_case =
+  QCheck.(
+    quad
+      (make ~print:Ptx.Types.string_of_dtype (Gen.oneofl all_dtypes))
+      (list_of_size (Gen.return (mem_size / 8)) int64)
+      (pair (int_bound (mem_size - 8)) (int_bound 3))
+      (make ~print:Int64.to_string
+         (Gen.oneof [ Gen.oneofl special_int64s; Gen.ui64 ])))
+
+let prop_load_into_matches_load =
+  QCheck.Test.make ~count:1000 ~name:"Mem.load_into = Mem.load into a slot"
+    gen_slot_case
+    (fun (ty, words, (addr, slot), v) ->
+      let m = mem_of_words words in
+      let th = thread ~regs:4 () in
+      List.iter (fun r -> Gsim.Exec.set_reg th r v) [ 0; 1; 2; 3 ];
+      Gsim.Mem.load_into m ty addr th.Gsim.Exec.regs (slot lsl 3);
+      Gsim.Exec.reg th slot = Gsim.Mem.load m ty addr
+      && List.for_all
+           (fun r -> r = slot || Gsim.Exec.reg th r = v)
+           [ 0; 1; 2; 3 ])
+
+let prop_store_from_matches_store =
+  QCheck.Test.make ~count:1000 ~name:"Mem.store_from = Mem.store of a slot"
+    gen_slot_case
+    (fun (ty, words, (addr, slot), v) ->
+      let expected = mem_of_words words and m = mem_of_words words in
+      Gsim.Mem.store expected ty addr v;
+      let th = thread ~regs:4 () in
+      Gsim.Exec.set_reg th slot v;
+      Gsim.Mem.store_from m ty addr th.Gsim.Exec.regs (slot lsl 3);
+      Gsim.Mem.equal expected m)
+
+let prop_atomic_into_matches_rmw =
+  QCheck.Test.make ~count:1000
+    ~name:"Mem.atomic_into = load, atomic_value, store"
+    QCheck.(
+      pair gen_slot_case
+        (make (Gen.oneofl [ Aadd; Amin; Amax; Aexch; Acas ])))
+    (fun ((ty, words, (addr, slot), v), op) ->
+      let expected = mem_of_words words and m = mem_of_words words in
+      let old = Gsim.Mem.load expected ty addr in
+      Gsim.Mem.store expected ty addr (Gsim.Mem.atomic_value op old v);
+      let th = thread ~regs:4 () in
+      Gsim.Mem.atomic_into m op ty addr v th.Gsim.Exec.regs (slot lsl 3);
+      Gsim.Exec.reg th slot = old && Gsim.Mem.equal expected m)
+
+(* The widening rules, spelled out: signed narrow types sign-extend,
+   unsigned ones (U32 included) zero-extend, F32 widens to double bits. *)
+let test_load_into_widening () =
+  let m = Gsim.Mem.create 16 in
+  Gsim.Mem.set_u32 m 0 0xFFFFFFFF;
+  Gsim.Mem.set_f32 m 8 1.5;
+  let th = thread () in
+  let ld ty addr =
+    Gsim.Mem.load_into m ty addr th.Gsim.Exec.regs (2 lsl 3);
+    Gsim.Exec.reg th 2
+  in
+  Alcotest.(check int64) "s8 sign-extends" (-1L) (ld S8 0);
+  Alcotest.(check int64) "u8 zero-extends" 0xFFL (ld U8 0);
+  Alcotest.(check int64) "s16 sign-extends" (-1L) (ld S16 0);
+  Alcotest.(check int64) "s32 sign-extends" (-1L) (ld S32 0);
+  Alcotest.(check int64) "u32 zero-extends" 0xFFFFFFFFL (ld U32 0);
+  Alcotest.(check int64) "f32 widens to double bits"
+    (Int64.bits_of_float 1.5) (ld F32 8)
+
+(* The slot entry points keep [Mem]'s bounds check and write nothing
+   when it fails. *)
+let test_slot_entry_bounds () =
+  let m = Gsim.Mem.create 16 in
+  let th = thread () in
+  Gsim.Exec.set_reg th 1 42L;
+  let regs = th.Gsim.Exec.regs and off = 1 lsl 3 in
+  let expect_fault name f =
+    match f () with
+    | () -> Alcotest.failf "%s: expected a mem fault" name
+    | exception Gsim.Sim_error.Error e ->
+        Alcotest.(check bool) (name ^ ": kind") true
+          (e.Gsim.Sim_error.e_kind = Gsim.Sim_error.Mem_fault);
+        Alcotest.(check int64) (name ^ ": register untouched") 42L
+          (Gsim.Exec.reg th 1);
+        Alcotest.(check bool) (name ^ ": memory untouched") true
+          (Gsim.Mem.equal m (Gsim.Mem.create 16))
+  in
+  expect_fault "load_into past end" (fun () ->
+      Gsim.Mem.load_into m U32 13 regs off);
+  expect_fault "load_into negative" (fun () ->
+      Gsim.Mem.load_into m U8 (-1) regs off);
+  expect_fault "store_from past end" (fun () ->
+      Gsim.Mem.store_from m U64 9 regs off);
+  expect_fault "atomic_into past end" (fun () ->
+      Gsim.Mem.atomic_into m Aadd U32 16 1L regs off)
+
 (* ---------------- bitset ---------------- *)
 
 let prop_bitset_membership =
@@ -216,6 +355,15 @@ let tests =
     Alcotest.test_case "typed memory" `Quick test_mem_typed_access;
     Alcotest.test_case "memory bounds" `Quick test_mem_bounds;
     QCheck_alcotest.to_alcotest prop_mem_roundtrip_f32;
+    Alcotest.test_case "register slot special values" `Quick
+      test_reg_special_values;
+    QCheck_alcotest.to_alcotest prop_reg_roundtrip;
+    QCheck_alcotest.to_alcotest prop_load_into_matches_load;
+    QCheck_alcotest.to_alcotest prop_store_from_matches_store;
+    QCheck_alcotest.to_alcotest prop_atomic_into_matches_rmw;
+    Alcotest.test_case "load_into widening" `Quick test_load_into_widening;
+    Alcotest.test_case "slot entry points bounds" `Quick
+      test_slot_entry_bounds;
     QCheck_alcotest.to_alcotest prop_bitset_membership;
     QCheck_alcotest.to_alcotest prop_bitset_union_diff;
     Alcotest.test_case "bitset union change reporting" `Quick

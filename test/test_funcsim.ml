@@ -198,6 +198,31 @@ let test_tables_render () =
   Alcotest.(check string) "f2" "3.14" (Critload.Tables.f2 3.14159);
   Alcotest.(check string) "f1" "3.1" (Critload.Tables.f1 3.14159)
 
+(* The instruction cap counts each executed warp instruction once:
+   2mm's first launch at small scale is 16 CTAs of 6824 warp
+   instructions each, so a cap of exactly five CTAs runs five whole
+   CTAs, and a cap inside the fourth CTA stops on the cap itself. *)
+let test_func_cap () =
+  let run = (Workloads.Suite.find "2mm").App.make App.Small in
+  let launch =
+    match run.App.next_launch () with
+    | Some l -> l
+    | None -> Alcotest.fail "2mm has no launch"
+  in
+  Alcotest.(check int) "launch 0 CTAs" 16 (Gsim.Launch.n_ctas launch);
+  let uncapped = Gsim.Funcsim.run launch in
+  Alcotest.(check int) "launch 0 warp insts" (16 * 6824)
+    uncapped.Gsim.Funcsim.warp_insts;
+  let capped cap =
+    let t = Gsim.Funcsim.run ~max_warp_insts:cap launch in
+    Alcotest.(check bool) (Printf.sprintf "cap %d stops the run" cap) true
+      t.Gsim.Funcsim.capped;
+    (t.Gsim.Funcsim.warp_insts, t.Gsim.Funcsim.ctas_run)
+  in
+  Alcotest.(check (pair int int)) "cap of five CTAs" (34120, 5) (capped 34120);
+  Alcotest.(check (pair int int)) "cap inside the fourth CTA" (23884, 4)
+    (capped 23884)
+
 let tests =
   [
     Alcotest.test_case "tables render" `Quick test_tables_render;
@@ -212,6 +237,7 @@ let tests =
       test_parse_comments_and_offsets;
     QCheck_alcotest.to_alcotest prop_popcount;
     Alcotest.test_case "full_mask" `Quick test_full_mask;
+    Alcotest.test_case "instruction cap counts once" `Quick test_func_cap;
   ]
 
 let () = Alcotest.run "funcsim" [ ("funcsim", tests) ]
